@@ -236,7 +236,9 @@ func TestExperimentStreamingMatchesBatch(t *testing.T) {
 }
 
 // TestExperimentMatrixMatchesRunner pins the matrix mode to the
-// deprecated Runner: same cells, same aggregate.
+// deprecated Runner: same cells, same aggregate. It also pins the whole
+// published matrix outcome — the aggregate with its resolved censor names,
+// and every cell status — as independent of how many cells run at once.
 func TestExperimentMatrixMatchesRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of pipelines in -short mode")
@@ -280,6 +282,32 @@ func TestExperimentMatrixMatchesRunner(t *testing.T) {
 		if cs.Index != i || cs.Err != nil || cs.CNFs == 0 {
 			t.Errorf("cell %d malformed: %+v", i, cs)
 		}
+	}
+
+	// The tiny matrix identifies nobody, so the layout comparison runs a
+	// sweep whose cells name censors, one of them in two cells.
+	sweep := SmallConfig()
+	sweep.Seed = 5
+	sweep.Days = 20
+	sweep.Workers = 1
+	var layouts [2]*Result
+	for i := range layouts {
+		exp, err := New(WithConfig(sweep), WithSeedSweep(3), WithMatrixWorkers(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if layouts[i], err = exp.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ms := layouts[0].Matrix; len(ms.Censors) == 0 || ms.Censors[0].Runs < 2 || ms.Censors[0].Name == "" {
+		t.Fatalf("degenerate matrix: no named censor found by two cells: %+v", ms.Censors)
+	}
+	if !reflect.DeepEqual(layouts[0].Matrix, layouts[1].Matrix) {
+		t.Errorf("matrix aggregate differs between 1 and 2 matrix workers:\n%+v\nvs\n%+v", layouts[0].Matrix, layouts[1].Matrix)
+	}
+	if !reflect.DeepEqual(layouts[0].Cells, layouts[1].Cells) {
+		t.Errorf("cell statuses differ between 1 and 2 matrix workers:\n%+v\nvs\n%+v", layouts[0].Cells, layouts[1].Cells)
 	}
 }
 

@@ -316,6 +316,41 @@ func FuzzDatasetRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRaw feeds arbitrary bytes to the decoder, both through the
+// gzip layer (Decode) and straight into the JSONL layer (decodePlain), so
+// mutations reach the record parser instead of dying at the gzip CRC.
+// Either call must return a dataset or an error, never both or neither,
+// and never panic. The corpus is seeded from the golden v1 file, gzipped
+// and gunzipped, and from truncations of both.
+func FuzzDecodeRaw(f *testing.F) {
+	gz, err := os.ReadFile(goldenPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{gz, plain} {
+		f.Add(seed)
+		for _, n := range []int{0, 1, 10, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, decode := range map[string]func(io.Reader) (*File, error){"Decode": Decode, "decodePlain": decodePlain} {
+			got, err := decode(bytes.NewReader(data))
+			if (got == nil) == (err == nil) {
+				t.Fatalf("%s returned file %v and error %v; want exactly one", name, got != nil, err)
+			}
+		}
+	})
+}
+
 // randomFile builds a deterministic pseudo-random dataset exercising the
 // codec's branches: eliminated records, anomaly sets, truth fields,
 // records disagreeing with their table entries, empty days.

@@ -14,5 +14,6 @@
 // (testdata/golden_v1.jsonl.gz): any encoder change that breaks v1
 // compatibility fails TestGoldenV1 loudly. Decode validates the magic and
 // version up front and never panics on corrupt input (FuzzDatasetRoundTrip
-// exercises the codec both ways).
+// exercises the codec both ways; FuzzDecodeRaw feeds the decoder arbitrary
+// bytes).
 package dataset

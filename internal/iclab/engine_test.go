@@ -1,6 +1,7 @@
 package iclab
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -78,28 +79,51 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunMatchesMergedByDay pins the equivalence of the engine's two
-// emission shapes: Run's flat, preallocated record layout must be
-// bit-identical to MergeShards over RunByDay's per-day slices, at serial
-// and parallel worker counts. This is the invariant that lets Run skip the
-// concatenation copy entirely.
+// TestRunMatchesMergedByDay pins the equivalence of the engine's emission
+// shapes: Run's flat, preallocated record layout must be bit-identical to
+// MergeShards over RunByDay's per-day slices, at serial and parallel worker
+// counts — the invariant that lets Run skip the concatenation copy. It also
+// pins the property day sharding rests on: days measured one at a time in
+// reverse order, and any contiguous split of the schedule measured range
+// by range on independently built worlds, merge into the same sequence.
 func TestRunMatchesMergedByDay(t *testing.T) {
+	const seed, days = 13, 7
 	base := PlatformConfig{Seed: 21, URLsPerDay: 3, RepeatsPerDay: 2}
+	// measureRanges measures each [lo, hi) range on its own fresh world,
+	// last range first, and merges the day shards.
+	measureRanges := func(cfg PlatformConfig, chunks int) []Record {
+		cfg.fillDefaults()
+		shards := make([][]Record, days)
+		for c := chunks - 1; c >= 0; c-- {
+			s := buildStack(t, seed, days)
+			for day := (c+1)*days/chunks - 1; day >= c*days/chunks; day-- {
+				shards[day] = s.runDay(cfg, day)
+			}
+		}
+		return MergeShards(shards)
+	}
+	cases := map[string][]Record{}
+	for _, chunks := range []int{1, 2, 3, days} {
+		cases[fmt.Sprintf("%d reversed ranges", chunks)] = measureRanges(base, chunks)
+	}
 	for _, workers := range []int{1, 2, 8} {
 		cfg := base
 		cfg.Workers = workers
-		flat := Run(buildStack(t, 13, 7), cfg)
-		merged := NewDataset(buildStack(t, 13, 7), MergeShards(RunByDay(buildStack(t, 13, 7), cfg)))
-		if len(flat.Records) != len(merged.Records) {
-			t.Fatalf("workers=%d: flat %d records, merged %d", workers, len(flat.Records), len(merged.Records))
-		}
-		for i := range flat.Records {
-			if !reflect.DeepEqual(flat.Records[i], merged.Records[i]) {
-				t.Fatalf("workers=%d: record %d differs between flat Run and merged RunByDay", workers, i)
+		flat := Run(buildStack(t, seed, days), cfg)
+		cases["RunByDay"] = MergeShards(RunByDay(buildStack(t, seed, days), cfg))
+		for name, records := range cases {
+			merged := NewDataset(buildStack(t, seed, days), records)
+			if len(flat.Records) != len(merged.Records) {
+				t.Fatalf("workers=%d, %s: flat %d records, merged %d", workers, name, len(flat.Records), len(merged.Records))
 			}
-		}
-		if !reflect.DeepEqual(flat.Stats, merged.Stats) {
-			t.Fatalf("workers=%d: Table1 stats differ between emission shapes", workers)
+			for i := range flat.Records {
+				if !reflect.DeepEqual(flat.Records[i], merged.Records[i]) {
+					t.Fatalf("workers=%d, %s: record %d differs from flat Run", workers, name, i)
+				}
+			}
+			if !reflect.DeepEqual(flat.Stats, merged.Stats) {
+				t.Fatalf("workers=%d, %s: Table1 stats differ from flat Run", workers, name)
+			}
 		}
 	}
 }

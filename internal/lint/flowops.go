@@ -19,7 +19,6 @@ import (
 // exactly a package whose blocking ops need cancellation discipline.
 var concurrencyPackages = map[string]bool{
 	"internal/parallel": true,
-	"internal/distrib":  true,
 	"internal/stream":   true,
 }
 
@@ -78,7 +77,7 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 // blockingCalls maps a callee's full name (types.Func.FullName form) to
 // the description used in findings. These are the operations that can
 // park a goroutine indefinitely when the other side never shows up: the
-// join primitives and the pipe reads the worker-pool protocol lives on.
+// join primitives, subprocess waits and pipe reads.
 var blockingCalls = map[string]string{
 	"(*sync.WaitGroup).Wait":        "sync.WaitGroup.Wait",
 	"(*os/exec.Cmd).Wait":           "exec.Cmd.Wait",
