@@ -111,19 +111,23 @@ profile:
 	@echo "profile: wrote profiles/after.{cpu,mem}.pb.gz and -top digests" >&2
 
 # Short fuzz pass over every fuzz target — the DIMACS parser, the dataset
-# codec round trip, the dataset decoder on raw bytes, and the evaluation
-# kernel — each with the FUZZTIME budget. `make fuzz FUZZTIME=5m` for a real hunt.
+# codec round trip, the dataset decoder on raw bytes, the evaluation
+# kernel, and the blockpage matcher and TCP reassembler against their
+# reference implementations — each with the FUZZTIME budget.
+# `make fuzz FUZZTIME=5m` for a real hunt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseDIMACS -fuzztime $(FUZZTIME) ./internal/sat
 	$(GO) test -run '^$$' -fuzz FuzzDatasetRoundTrip -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRaw -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzEvaluate -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz FuzzFingerprintMatch -fuzztime $(FUZZTIME) ./internal/blockpage
+	$(GO) test -run '^$$' -fuzz FuzzReassemble -fuzztime $(FUZZTIME) ./internal/httpsim
 
 # Seed-corpus-only fuzz smoke for CI: replays every fuzz target's seed
 # corpus as ordinary tests, so a target that rots fails fast without
 # paying for wall-clock fuzzing.
 fuzz-smoke:
-	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/dataset .
+	$(GO) test -count 1 -run '^Fuzz' ./internal/sat ./internal/dataset ./internal/blockpage ./internal/httpsim .
 
 clean:
 	$(GO) clean ./...

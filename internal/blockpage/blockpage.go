@@ -1,6 +1,7 @@
 package blockpage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"regexp"
@@ -28,15 +29,20 @@ func filler(n int) string {
 	return string(out[:n])
 }
 
-// markerPattern matches the authority marker of template id.
-func markerPattern(id int) string {
-	return fmt.Sprintf(`FILTER-%04d`, id)
-}
+// markerPrefix starts every template's authority marker: template id's
+// signature is the literal FILTER-%04d.
+var markerPrefix = []byte("FILTER-")
 
-// FingerprintDB is the corpus of known blockpage signatures.
+// genericPattern is a generic signature shared by many real-world
+// products. It is compiled once; a Regexp is safe for concurrent use.
+var genericPattern = regexp.MustCompile(`(?i)<title>Access Denied</title>.*not available in your region`)
+
+// FingerprintDB is the corpus of known blockpage signatures: one literal
+// FILTER-%04d marker per known template plus, unless the DB is Empty, the
+// generic pattern.
 type FingerprintDB struct {
-	patterns []*regexp.Regexp
-	known    map[int]bool
+	known   []bool // known[id]: template id's marker is catalogued
+	generic bool
 }
 
 // pcgStreamBlock is the fingerprint-corpus RNG stream word ("block" in
@@ -48,37 +54,88 @@ const pcgStreamBlock = 0x626c6f636b // "block"
 // public corpora have not catalogued. Deterministic per seed.
 func NewFingerprintDB(numTemplates int, coverage float64, seed uint64) *FingerprintDB {
 	rng := rand.New(rand.NewPCG(seed, pcgStreamBlock))
-	db := &FingerprintDB{known: make(map[int]bool)}
-	for id := 0; id < numTemplates; id++ {
+	db := &FingerprintDB{known: make([]bool, max(numTemplates, 0)), generic: true}
+	for id := range db.known {
 		if rng.Float64() < coverage {
-			db.patterns = append(db.patterns, regexp.MustCompile(markerPattern(id)))
 			db.known[id] = true
 		}
 	}
-	// A generic pattern shared by many real-world products.
-	db.patterns = append(db.patterns, regexp.MustCompile(`(?i)<title>Access Denied</title>.*not available in your region`))
 	return db
 }
 
 // Empty returns a DB with no signatures at all (length heuristic only).
 func Empty() *FingerprintDB {
-	return &FingerprintDB{known: map[int]bool{}}
+	return &FingerprintDB{}
 }
 
 // Knows reports whether template id is in the corpus.
-func (db *FingerprintDB) Knows(id int) bool { return db.known[id] }
+func (db *FingerprintDB) Knows(id int) bool { return id >= 0 && id < len(db.known) && db.known[id] }
 
 // Len returns the number of catalogued signatures.
-func (db *FingerprintDB) Len() int { return len(db.patterns) }
+func (db *FingerprintDB) Len() int {
+	n := 0
+	if db.generic {
+		n++
+	}
+	for _, k := range db.known {
+		if k {
+			n++
+		}
+	}
+	return n
+}
 
 // Match reports whether the body matches any known signature.
 func (db *FingerprintDB) Match(body []byte) bool {
-	for _, p := range db.patterns {
-		if p.Match(body) {
+	return db.matchMarker(body) || db.generic && mayMatchGeneric(body) && genericPattern.Match(body)
+}
+
+// matchMarker reports whether body contains the marker of a known
+// template. Template id's marker is FILTER- followed by %04d of id: four
+// digits for ids below 10000, the plain decimal (five or more digits, no
+// leading zero) above. So at each FILTER- the candidates are the first
+// four digits and, when they do not start with 0, every longer digit
+// prefix; a candidate past the corpus's largest id ends the search.
+func (db *FingerprintDB) matchMarker(body []byte) bool {
+	for {
+		i := bytes.Index(body, markerPrefix)
+		if i < 0 {
+			return false
+		}
+		body = body[i+len(markerPrefix):]
+		id := 0
+		for k, c := range body {
+			if c < '0' || c > '9' || k >= 4 && body[0] == '0' {
+				break
+			}
+			id = id*10 + int(c-'0')
+			if id >= len(db.known) {
+				break
+			}
+			if k >= 3 && db.known[id] {
+				return true
+			}
+		}
+	}
+}
+
+// mayMatchGeneric is a necessary condition for genericPattern, checked
+// before running it: the body holds "<title>A" up to case. Under (?i) the
+// regexp folds by Unicode simple folding, and none of t, i, l, e, a folds
+// to a non-ASCII rune (only s does, to ſ), so an ASCII case-insensitive
+// comparison misses no match.
+func mayMatchGeneric(body []byte) bool {
+	const tag = "title>a"
+	for {
+		i := bytes.IndexByte(body, '<')
+		if i < 0 || len(body)-i-1 < len(tag) {
+			return false
+		}
+		body = body[i+1:]
+		if bytes.EqualFold(body[:len(tag)], []byte(tag)) {
 			return true
 		}
 	}
-	return false
 }
 
 // LengthDelta implements the Jones et al. heuristic: a response whose

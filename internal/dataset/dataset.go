@@ -326,7 +326,15 @@ type codeTables struct {
 	countryOf  map[uint32]string
 }
 
+// maxAnomalyKinds is the anomaly table's limit: a record's anomaly set is
+// a uint8 bit mask, so a ninth kind could never be referenced, and
+// fromWire would scan an oversized table once per record for nothing.
+const maxAnomalyKinds = 8
+
 func tablesOf(h *Header) (*codeTables, error) {
+	if len(h.AnomalyKinds) > maxAnomalyKinds {
+		return nil, fmt.Errorf("dataset: header declares %d anomaly kinds (limit %d); corrupt header?", len(h.AnomalyKinds), maxAnomalyKinds)
+	}
 	t := &codeTables{countryOf: make(map[uint32]string, len(h.Vantages))}
 	kindByName := map[string]anomaly.Kind{}
 	for _, k := range anomaly.Kinds {
@@ -376,6 +384,9 @@ func fromWire(wr *wireRecord, h *Header, t *codeTables) (iclab.Record, error) {
 	r.Vantage = topology.ASN(wr.Vantage)
 	r.TargetIdx = wr.Target
 	r.At = time.Unix(0, wr.At).UTC()
+	if int(wr.Anomalies)>>len(t.kinds) != 0 {
+		return r, fmt.Errorf("dataset: anomaly mask %#x outside the header's %d kinds", wr.Anomalies, len(t.kinds))
+	}
 	for bit, k := range t.kinds {
 		if wr.Anomalies&(1<<bit) != 0 {
 			r.Anomalies = r.Anomalies.Add(k)

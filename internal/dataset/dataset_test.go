@@ -225,6 +225,10 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"bad anomaly table", gz(fmt.Sprintf(`{"format":%q,"version":1,"anomaly_kinds":["nope"]}`, Magic)), "anomaly kind"},
 		{"bad fail table", gz(fmt.Sprintf(`{"format":%q,"version":1,"fail_reasons":["nope"]}`, Magic)), "fail reason"},
 		{"bad category table", gz(fmt.Sprintf(`{"format":%q,"version":1,"categories":["nope"]}`, Magic)), "category"},
+		{"oversized anomaly table", gz(fmt.Sprintf(`{"format":%q,"version":1,"anomaly_kinds":[%s]}`, Magic, strings.Repeat(`"dns",`, 8)+`"dns"`)), "9 anomaly kinds (limit 8)"},
+		{"anomaly bit beyond the table", gz(
+			fmt.Sprintf(`{"format":%q,"version":1,"days":1,"records":1,"anomaly_kinds":["dns","rst"],"fail_reasons":["ok"],"categories":["News"],"targets":[{"url":"u","category":0,"asn":1}]}`, Magic),
+			`{"d":0,"v":1,"t":0,"at":0,"an":4}`), "outside the header's 2 kinds"},
 		{"day out of range", gz(
 			fmt.Sprintf(`{"format":%q,"version":1,"days":1,"records":1,"targets":[{"url":"u","category":0,"asn":1}]}`, Magic),
 			`{"d":5,"v":1,"t":0,"at":0}`), "outside the period"},
@@ -321,7 +325,8 @@ func FuzzDatasetRoundTrip(f *testing.F) {
 // mutations reach the record parser instead of dying at the gzip CRC.
 // Either call must return a dataset or an error, never both or neither,
 // and never panic. The corpus is seeded from the golden v1 file, gzipped
-// and gunzipped, and from truncations of both.
+// and gunzipped, from truncations of both, and from a header whose anomaly
+// table is far past its limit.
 func FuzzDecodeRaw(f *testing.F) {
 	gz, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -341,6 +346,10 @@ func FuzzDecodeRaw(f *testing.F) {
 			f.Add(seed[:n])
 		}
 	}
+	// A header repeating one anomaly kind far past the mask's 8 bits.
+	oversized := fmt.Appendf(nil, `{"format":%q,"version":1,"days":1,"records":1,"anomaly_kinds":[%s],"fail_reasons":["ok"],"categories":["News"],"targets":[{"url":"u","category":0,"asn":1}]}`+"\n"+`{"d":0,"v":1,"t":0,"at":0,"an":1}`+"\n",
+		Magic, strings.Repeat(`"dns",`, 1000)+`"dns"`)
+	f.Add(oversized)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, decode := range map[string]func(io.Reader) (*File, error){"Decode": Decode, "decodePlain": decodePlain} {
 			got, err := decode(bytes.NewReader(data))
@@ -466,5 +475,29 @@ func TestAppendWireMatchesJSON(t *testing.T) {
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("case %d: appendWire diverges from encoding/json\n got: %s\nwant: %s", i, got, want.Bytes())
 		}
+	}
+}
+
+// TestAnomalyTableLimit pins the anomaly table's limit: the wire mask has 8
+// bits, so a header may declare up to 8 kinds and a record may set any bit
+// among them, but a ninth kind is a corrupt header.
+func TestAnomalyTableLimit(t *testing.T) {
+	plain := func(kinds int, mask uint8) []byte {
+		names := strings.TrimSuffix(strings.Repeat(`"dns",`, kinds), ",")
+		return fmt.Appendf(nil, `{"format":%q,"version":1,"days":1,"records":1,"anomaly_kinds":[%s],"fail_reasons":["ok"],"categories":["News"],"targets":[{"url":"u","category":0,"asn":1}]}`+"\n"+`{"d":0,"v":1,"t":0,"at":0,"an":%d}`+"\n",
+			Magic, names, mask)
+	}
+	f, err := decodePlain(bytes.NewReader(plain(maxAnomalyKinds, 0xff)))
+	if err != nil {
+		t.Fatalf("%d kinds, full mask: %v", maxAnomalyKinds, err)
+	}
+	if got := f.Days[0][0].Anomalies; !got.Has(anomaly.DNS) {
+		t.Errorf("full mask over a dns-only table decoded to %v", got)
+	}
+	if _, err := decodePlain(bytes.NewReader(plain(maxAnomalyKinds+1, 1))); err == nil || !strings.Contains(err.Error(), "limit 8") {
+		t.Errorf("%d kinds: err = %v, want the limit named", maxAnomalyKinds+1, err)
+	}
+	if _, err := decodePlain(bytes.NewReader(plain(3, 1<<3))); err == nil || !strings.Contains(err.Error(), "outside the header's 3 kinds") {
+		t.Errorf("mask bit past a 3-kind table: err = %v", err)
 	}
 }

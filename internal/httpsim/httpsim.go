@@ -3,6 +3,7 @@ package httpsim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"churntomo/internal/anomaly"
@@ -281,42 +282,76 @@ func Simulate(p Params, injectors []Injector, n Noise, rng *rand.Rand) Result {
 
 // reassemble reconstructs the byte stream the client delivers to its HTTP
 // layer: first-arrival wins each sequence range, mirroring how injected
-// segments poison real TCP stacks.
+// segments poison real TCP stacks. A first pass sizes the stream; the
+// second copies each segment's bytes that no earlier arrival covered.
+// Sequence gaps stay zero bytes; none trails, since the segment reaching
+// furthest delivers the last byte.
 func reassemble(c *netsim.Capture, client, server netaddr.IP, isn uint32) []byte {
 	base := isn + 1
-	var buf []byte
-	var have []bool
-	for _, p := range c.Packets { // capture is time-ordered
-		if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP || len(p.Payload) == 0 {
+	n := 0
+	for i := range c.Packets {
+		if rel, ok := streamOffset(&c.Packets[i], client, server, base); ok {
+			n = max(n, rel+len(c.Packets[i].Payload))
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	buf := make([]byte, n)
+	// covered holds the delivered ranges, sorted, disjoint and
+	// non-adjacent; a connection has a handful of segments.
+	var spans [8]span
+	covered := spans[:0]
+	for i := range c.Packets { // capture is time-ordered
+		p := &c.Packets[i]
+		lo, ok := streamOffset(p, client, server, base)
+		if !ok {
 			continue
 		}
-		if p.Flags&netsim.FlagSYN != 0 {
-			continue
+		hi := lo + len(p.Payload)
+		first := 0
+		for first < len(covered) && covered[first].hi < lo {
+			first++
 		}
-		rel := p.Seq - base
-		if rel > 1<<20 {
-			continue // wild sequence number; stack discards
-		}
-		need := int(rel) + len(p.Payload)
-		if len(buf) < need {
-			// Grow once to the needed length; append's zero fill is the
-			// "not yet delivered" state for both slices.
-			buf = append(buf, make([]byte, need-len(buf))...)
-			have = append(have, make([]bool, need-len(have))...)
-		}
-		for i, b := range p.Payload {
-			if off := int(rel) + i; !have[off] {
-				buf[off] = b
-				have[off] = true
+		// Copy around the ranges [lo, hi] touches; they merge into one.
+		last, pos := first, lo
+		for ; last < len(covered) && covered[last].lo <= hi; last++ {
+			s := covered[last]
+			if s.lo > pos {
+				copy(buf[pos:s.lo], p.Payload[pos-lo:])
 			}
+			pos = max(pos, s.hi)
 		}
+		if pos < hi {
+			copy(buf[pos:hi], p.Payload[pos-lo:])
+		}
+		merged := span{lo, hi}
+		if first < last {
+			merged = span{min(lo, covered[first].lo), max(hi, covered[last-1].hi)}
+		}
+		covered = slices.Replace(covered, first, last, merged)
 	}
-	// Trim trailing unwritten space (gaps at the end never delivered).
-	end := len(buf)
-	for end > 0 && !have[end-1] {
-		end--
+	return buf
+}
+
+// span is a half-open range [lo, hi) of stream offsets.
+type span struct{ lo, hi int }
+
+// streamOffset reports where p's payload starts in the server-to-client
+// byte stream whose first byte has sequence number base, or false when the
+// client's stack would not deliver it.
+func streamOffset(p *netsim.Packet, client, server netaddr.IP, base uint32) (int, bool) {
+	if p.Src != server || p.Dst != client || p.Proto != netsim.ProtoTCP || len(p.Payload) == 0 {
+		return 0, false
 	}
-	return buf[:end]
+	if p.Flags&netsim.FlagSYN != 0 {
+		return 0, false
+	}
+	rel := p.Seq - base
+	if rel > 1<<20 {
+		return 0, false // wild sequence number; stack discards
+	}
+	return int(rel), true
 }
 
 // resizeBody grows or shrinks a body to n bytes, repeating content as

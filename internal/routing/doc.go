@@ -18,7 +18,8 @@
 // Invariants: trees are pure functions of (graph, timeline, destination,
 // epoch), so the Oracle can cache and share them freely. The Oracle is safe
 // for concurrent use — the measurement engine's day shards all query one
-// instance; only LRU bookkeeping is mutex-guarded, never tree computation,
-// and concurrent misses on the same (destination, epoch) coalesce onto a
-// single computation (the PR 1 singleflight).
+// instance; hits take no lock, a miss locks only the shard owning its
+// cache set and never holds it across tree computation, and concurrent
+// misses on the same (destination, epoch) coalesce onto a single
+// computation.
 package routing

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -394,6 +395,96 @@ func TestOracleEviction(t *testing.T) {
 			t.Fatalf("re-fetched tree differs at node %d", i)
 		}
 	}
+
+	// A full set evicts its oldest entry: fill one set with ways+1 keys in
+	// order; only the first must recompute.
+	o = NewOracle(g, tl, oracleWays*oracleShards)
+	if o.ways != oracleWays || o.setsPerShard != 1 {
+		t.Fatalf("layout %d ways x %d sets per shard, want %d x 1", o.ways, o.setsPerShard, oracleWays)
+	}
+	var same []treeKey
+	for dst := int32(0); len(same) <= oracleWays; dst++ {
+		k := treeKey{dst: dst % int32(len(g.ASes)), epoch: 0, plane: dst / int32(len(g.ASes))}
+		if _, set := o.setOf(k); set == 0 {
+			same = append(same, k)
+		}
+	}
+	recomputes := func(k treeKey) bool {
+		_, before := o.Stats()
+		o.TreeAtPlane(k.dst, k.epoch, k.plane)
+		_, after := o.Stats()
+		return after > before
+	}
+	for _, k := range same {
+		recomputes(k)
+	}
+	for _, k := range same[1:] {
+		if recomputes(k) {
+			t.Errorf("key %+v recomputed although newer than the set's oldest", k)
+		}
+	}
+	if !recomputes(same[0]) {
+		t.Error("a full set kept its oldest entry")
+	}
+}
+
+// TestOracleEvictionConcurrentMatchesComputeTree runs an oracle holding
+// one tree per shard from many goroutines over a key space far larger than
+// its capacity, so nearly every query evicts (run it under -race). Every
+// tree returned must equal ComputeTree's from scratch.
+func TestOracleEvictionConcurrentMatchesComputeTree(t *testing.T) {
+	g := graph(t, 15, 120)
+	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
+	tl, err := GenTimeline(g, TimelineConfig{Seed: 12, Start: start, End: start.AddDate(0, 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(g, tl, 1)
+	epochs := min(int32(tl.NumEpochs()), 12)
+	var keys []treeKey
+	want := map[treeKey]Tree{}
+	for plane := int32(0); plane < 2; plane++ {
+		for ep := int32(0); ep < epochs; ep++ {
+			for dst := int32(0); dst < int32(len(g.ASes)); dst += 3 {
+				k := treeKey{dst, ep, plane}
+				keys = append(keys, k)
+				want[k] = ComputeTree(g, dst,
+					func(l int32) bool { return tl.LinkDownAt(l, ep) },
+					func(a int32) uint64 { return tl.SaltAt(a, ep) ^ planeSalt(plane) })
+			}
+		}
+	}
+	if len(keys) < 8*o.Cap() {
+		t.Fatalf("%d keys do not overflow a capacity of %d", len(keys), o.Cap())
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range keys {
+				// Each worker walks the keys from its own offset and
+				// stride, so hits, misses and coalesced misses interleave.
+				k := keys[(w*len(keys)/workers+i*(2*w+1))%len(keys)]
+				got, ref := o.TreeAtPlane(k.dst, k.epoch, k.plane), want[k]
+				for n := range ref {
+					if got[n] != ref[n] {
+						t.Errorf("tree %+v differs from ComputeTree at node %d", k, n)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := o.CachedTrees(); got > o.Cap() {
+		t.Errorf("cache holds %d trees, capacity %d", got, o.Cap())
+	}
+	if _, c := o.Stats(); c <= len(keys) {
+		t.Errorf("%d computes for %d keys: the cache never evicted", c, len(keys))
+	}
 }
 
 // TestOracleTreeAtStress hammers TreeAt from many goroutines across a key
@@ -475,6 +566,36 @@ func BenchmarkOracleTreeAtHit(b *testing.B) {
 			o.TreeAt(100, 0)
 		}
 	})
+}
+
+// BenchmarkOracleTreeAtMiss measures a cache miss in steady state: every
+// query is a key never seen before, so each one computes a tree and evicts.
+// The graph is small so the cache's own cost shows next to ComputeTree's;
+// that cost must not grow with the capacity.
+func BenchmarkOracleTreeAtMiss(b *testing.B) {
+	g := graph(b, 23, 60)
+	start := time.Date(2016, 5, 1, 0, 0, 0, 0, time.UTC)
+	tl, err := GenTimeline(g, TimelineConfig{Seed: 7, Start: start, End: start.AddDate(0, 1, 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, epochs := len(g.ASes), tl.NumEpochs()
+	query := func(o *Oracle, i int) {
+		o.TreeAtPlane(int32(i%n), int32(i/n%epochs), int32(i/(n*epochs)))
+	}
+	for _, capacity := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
+			o := NewOracle(g, tl, capacity)
+			for i := 0; i < 2*capacity; i++ { // fill every set
+				query(o, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(o, 2*capacity+i)
+			}
+		})
+	}
 }
 
 func BenchmarkComputeTree(b *testing.B) {
